@@ -44,7 +44,7 @@ from ..metrics.compliance import STATUS_COMPLETED, STATUS_EXPIRED
 from ..observability import Instrumentation, get_instrumentation
 from ..observability.clockskew import ClockOffsetEstimator
 from ..runtime.driver import PhaseDriver, PhaseHooks
-from ..runtime.report import ClusterReport, RunReport  # noqa: F401
+from ..runtime.report import RunReport
 from . import protocol
 from .config import ClusterConfig, build_cluster_workload
 from .failure import HeartbeatMonitor

@@ -37,18 +37,6 @@ from .feasibility import (
     remaining_quantum,
     schedule_is_deadline_safe,
 )
-from .kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_NAMES,
-    ScalarKernel,
-    SearchKernel,
-    get_kernel,
-    kernel_available,
-    numpy_available,
-    register_kernel,
-    registered_kernels,
-    resolve_kernel,
-)
 from .phase import MIN_PHASE_TIME, PhaseResult, run_phase
 from .reference import reference_dcols, reference_rtsads
 from .registry import (
@@ -105,11 +93,9 @@ __all__ = [
     "EarliestFinishEvaluator",
     "Expander",
     "Expansion",
-    "DEFAULT_KERNEL",
     "FifoEvaluator",
     "FixedQuantum",
     "GreedyEDFScheduler",
-    "KERNEL_NAMES",
     "LoadBalancingEvaluator",
     "LoadOnlyQuantum",
     "MIN_PHASE_TIME",
@@ -124,9 +110,7 @@ __all__ = [
     "Schedule",
     "ScheduleEntry",
     "Scheduler",
-    "ScalarKernel",
     "SearchBudget",
-    "SearchKernel",
     "SearchOutcome",
     "SearchScheduler",
     "SearchStats",
@@ -161,12 +145,6 @@ __all__ = [
     "random_affinity",
     "register_scheduler",
     "registered_names",
-    "registered_kernels",
-    "register_kernel",
-    "resolve_kernel",
-    "get_kernel",
-    "kernel_available",
-    "numpy_available",
     "reference_dcols",
     "reference_rtsads",
     "remaining_quantum",

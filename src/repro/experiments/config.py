@@ -93,15 +93,6 @@ class ExperimentConfig:
     domains: int = 1
     partition_policy: str = "hash"
 
-    # Search-kernel registry name (repro.core.kernels): "scalar" is the
-    # zero-dependency default, "vectorized" the numpy batch kernel, "auto"
-    # picks vectorized when numpy is importable.  Kernels are bit-identical
-    # by contract, so every cell result is byte-equal across kernels — the
-    # field still enters the cache key (it is not an EXECUTION_FIELD), so
-    # a kernel sweep re-validating that claim is content-addressed like
-    # any other axis.
-    kernel: str = "scalar"
-
     # --- service mode (see src/repro/service/; ignored by sim/cluster) ---
     # Arrival-process name for the open-loop load generator (a key of
     # repro.workload.arrivals.ARRIVAL_NAMES), the offered load as a
@@ -149,13 +140,6 @@ class ExperimentConfig:
             )
         if self.domains <= 0:
             raise ValueError("domains must be positive")
-        from ..core.kernels import registered_kernels
-
-        if self.kernel not in registered_kernels():
-            raise ValueError(
-                f"kernel must be one of {sorted(registered_kernels())}, "
-                f"got {self.kernel!r}"
-            )
         if self.domains > self.num_processors:
             raise ValueError(
                 f"cannot split {self.num_processors} processors into "
@@ -250,10 +234,6 @@ class ExperimentConfig:
     def with_domains(self, domains: int) -> "ExperimentConfig":
         """A copy with ``domains`` replaced (shard-curve sweep axis)."""
         return replace(self, domains=domains)
-
-    def with_kernel(self, kernel: str) -> "ExperimentConfig":
-        """A copy pinned to one search kernel (see repro.core.kernels)."""
-        return replace(self, kernel=kernel)
 
     def with_partition_policy(self, policy: str) -> "ExperimentConfig":
         """A copy with the domain-partitioning policy replaced."""

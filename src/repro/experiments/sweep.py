@@ -63,7 +63,9 @@ from .config import ExperimentConfig
 #: the config grew a ``scheduler`` cache field.
 #: v4: records carry the run's migration section, and the config grew
 #: ``domains`` / ``partition_policy`` cache fields.
-CACHE_SCHEMA_VERSION = 4
+#: v5: the config dropped its search-implementation selector, so that
+#: key left the cache fields and every digest changed.
+CACHE_SCHEMA_VERSION = 5
 
 #: The cache directory the CLI defaults to (relative to the working dir).
 DEFAULT_CACHE_DIR = "results/cache"

@@ -27,18 +27,16 @@ from .backend import (
     register_backend,
 )
 from .driver import OpenPhase, PhaseDriver, PhaseHooks, PhaseTrace
-from .report import ClusterReport, RunReport, SimulationResult
+from .report import RunReport
 
 __all__ = [
     "BACKEND_NAMES",
-    "ClusterReport",
     "ExecutionBackend",
     "OpenPhase",
     "PhaseDriver",
     "PhaseHooks",
     "PhaseTrace",
     "RunReport",
-    "SimulationResult",
     "get_backend",
     "register_backend",
 ]

@@ -35,7 +35,6 @@ from .processor import QueuedWork, RunningWork, WorkerProcessor
 from .runtime import (
     DEFAULT_MAX_EVENTS,
     DistributedRuntime,
-    SimulationResult,
     simulate,
 )
 from .trace import (
@@ -75,7 +74,6 @@ __all__ = [
     "SimulationEngine",
     "SimulationError",
     "SimulationObserver",
-    "SimulationResult",
     "SimulationTrace",
     "TaskArrived",
     "TaskFinished",

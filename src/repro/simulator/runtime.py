@@ -29,7 +29,7 @@ from ..core.scheduler import Scheduler
 from ..core.task import Task, TaskSet
 from ..observability import Instrumentation, get_instrumentation
 from ..runtime.driver import OpenPhase, PhaseDriver, PhaseHooks
-from ..runtime.report import RunReport, SimulationResult  # noqa: F401
+from ..runtime.report import RunReport
 from .engine import SimulationEngine, SimulationError
 from .events import (
     HostWake,

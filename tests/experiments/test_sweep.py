@@ -91,7 +91,6 @@ class TestConfigDigest:
             "admission_policy": "least-slack",
             "domains": 2,
             "partition_policy": "worst-fit",
-            "kernel": "auto",
         }
         cache_fields = set(base.cache_fields())
         assert cache_fields == set(bumped), (
