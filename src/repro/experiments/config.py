@@ -11,18 +11,41 @@ drives the result shapes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.domains import PARTITION_POLICIES
+from ..database.database import DatabaseConfig, DistributedDatabase
 from ..service.admission import ADMISSION_POLICY_NAMES
-from ..workload.arrivals import ARRIVAL_NAMES
+from ..workload.arrivals import ARRIVAL_NAMES, ArrivalProcess
+from ..workload.transactions import (
+    TransactionWorkloadConfig,
+    TransactionWorkloadGenerator,
+)
 
 #: Fields describing *how* a sweep executes (parallelism, caching) rather
 #: than *what* it computes.  They are excluded from
 #: :meth:`ExperimentConfig.cache_fields`, so changing them can never
 #: invalidate cached results — ``--jobs 4`` reuses cells computed serially.
 EXECUTION_FIELDS = ("jobs", "cache_dir", "resume")
+
+#: Fields :func:`build_database_workload` reads: together with the seed they
+#: determine the database, the replica placement and the task set.  The
+#: scheduler, domain count, partition policy, cost model and backend never
+#: change the workload, so every cell differing only in those shares one
+#: (see :func:`repro.experiments.runner.workload_tasks`).
+WORKLOAD_FIELDS = (
+    "num_subdatabases",
+    "records_per_subdb",
+    "num_attributes",
+    "domain_size",
+    "num_processors",
+    "replication_rate",
+    "num_transactions",
+    "slack_factor",
+    "key_probability",
+)
 
 
 @dataclass(frozen=True)
@@ -296,6 +319,49 @@ class ExperimentConfig:
             for spec in fields(self)
             if spec.name not in EXECUTION_FIELDS
         }
+
+
+def build_database_workload(
+    config: ExperimentConfig,
+    seed: int,
+    *,
+    write_fraction: float = 0.0,
+    arrivals: Optional[ArrivalProcess] = None,
+):
+    """Database, scheduler tasks and raw transactions for one repetition.
+
+    The one place a workload is built from a config: the simulator, the
+    extensions, the live master and every live worker call it with the
+    same ``(config, seed)`` and get byte-identical state.  Reads only
+    :data:`WORKLOAD_FIELDS`; ``write_fraction`` (the read/write mix) and
+    ``arrivals`` (default: the paper's single burst) shape the transaction
+    stream for the extension studies.
+    """
+    rng = random.Random(seed)
+    database = DistributedDatabase.build(
+        config=DatabaseConfig(
+            num_subdatabases=config.num_subdatabases,
+            records_per_subdb=config.records_per_subdb,
+            num_attributes=config.num_attributes,
+            domain_size=config.domain_size,
+        ),
+        num_processors=config.num_processors,
+        replication_rate=config.replication_rate,
+        rng=rng,
+    )
+    generator = TransactionWorkloadGenerator(
+        database=database,
+        config=TransactionWorkloadConfig(
+            num_transactions=config.num_transactions,
+            slack_factor=config.slack_factor,
+            key_probability=config.key_probability,
+            write_fraction=write_fraction,
+            seed=seed,
+        ),
+        arrivals=arrivals,
+    )
+    tasks, transactions = generator.generate()
+    return database, tasks, transactions
 
 
 #: Sweep axes used by the figure reproductions (paper Section 5.1).

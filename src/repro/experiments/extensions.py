@@ -39,47 +39,13 @@ from ..simulator.execution import (
 from ..simulator.interconnect import MeshCommunicationModel, near_square_mesh
 from ..simulator.runtime import simulate
 from ..workload.arrivals import PoissonArrival
-from ..workload.transactions import (
-    TransactionWorkloadConfig,
-    TransactionWorkloadGenerator,
+from .config import (
+    OFFERED_LOAD_SWEEP,
+    ExperimentConfig,
+    build_database_workload,
 )
-from .config import OFFERED_LOAD_SWEEP, ExperimentConfig
 from .figures import DISPLAY_NAMES, AblationResult, SweepResult
-from .runner import build_scheduler, build_workload
-
-
-def _build_database_workload(config: ExperimentConfig, seed: int,
-                             arrivals=None, write_fraction: float = 0.0):
-    """Database, tasks, and raw transactions for one repetition."""
-    import random
-
-    from ..database.database import DatabaseConfig, DistributedDatabase
-
-    rng = random.Random(seed)
-    database = DistributedDatabase.build(
-        config=DatabaseConfig(
-            num_subdatabases=config.num_subdatabases,
-            records_per_subdb=config.records_per_subdb,
-            num_attributes=config.num_attributes,
-            domain_size=config.domain_size,
-        ),
-        num_processors=config.num_processors,
-        replication_rate=config.replication_rate,
-        rng=rng,
-    )
-    generator = TransactionWorkloadGenerator(
-        database=database,
-        config=TransactionWorkloadConfig(
-            num_transactions=config.num_transactions,
-            slack_factor=config.slack_factor,
-            key_probability=config.key_probability,
-            write_fraction=write_fraction,
-            seed=seed,
-        ),
-        arrivals=arrivals,
-    )
-    tasks, transactions = generator.generate()
-    return database, tasks, transactions
+from .runner import build_scheduler, workload_tasks
 
 
 def extension_write_mix(
@@ -107,7 +73,7 @@ def extension_write_mix(
         for name in schedulers:
             hits = []
             for seed in config.seeds():
-                _, tasks, _ = _build_database_workload(
+                _, tasks, _ = build_database_workload(
                     config, seed, write_fraction=fraction
                 )
                 comm = UniformCommunicationModel(config.remote_cost)
@@ -158,7 +124,7 @@ def extension_reclaiming(
     for label, factory in models:
         hits, reclaimed, makespans = [], [], []
         for seed in config.seeds():
-            database, tasks, transactions = _build_database_workload(
+            database, tasks, transactions = build_database_workload(
                 config, seed
             )
             comm = UniformCommunicationModel(config.remote_cost)
@@ -210,7 +176,7 @@ def extension_load_sweep(
         for name in schedulers:
             hits = []
             for seed in config.seeds():
-                _, tasks, _ = _build_database_workload(
+                _, tasks, _ = build_database_workload(
                     config, seed, arrivals=PoissonArrival(rate=rate)
                 )
                 comm = UniformCommunicationModel(config.remote_cost)
@@ -264,7 +230,7 @@ def extension_failures(
         for name in schedulers:
             hits = []
             for seed in config.seeds():
-                _, tasks, _ = _build_database_workload(config, seed)
+                tasks = workload_tasks(config, seed)
                 comm = UniformCommunicationModel(config.remote_cost)
                 scheduler = build_scheduler(name, config, comm)
                 result = simulate(
@@ -321,7 +287,7 @@ def ablation_interconnect(
         for name in scheduler_names:
             hits = []
             for seed in config.seeds():
-                _, tasks = build_workload(config, seed)
+                tasks = workload_tasks(config, seed)
                 scheduler = build_scheduler(name, config, comm)
                 result = simulate(
                     scheduler, tasks, num_workers=config.num_processors

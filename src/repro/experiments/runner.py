@@ -15,9 +15,9 @@ cluster and comes back as the same
 
 from __future__ import annotations
 
-import random
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..analysis.schedulability import (
     analyze_tasks,
@@ -29,17 +29,13 @@ from ..core.cost import VertexEvaluator
 from ..core.quantum import QuantumPolicy
 from ..core.registry import SCHEDULER_NAMES, SchedulerContext, make_scheduler
 from ..core.scheduler import Scheduler
-from ..database.database import DatabaseConfig, DistributedDatabase
+from ..core.task import Task
 from ..metrics.regret import summarize_regret
 from ..metrics.stats import ConfidenceInterval, confidence_interval, mean
 from ..observability import get_instrumentation
 from ..runtime.backend import ExecutionBackend, get_backend
 from ..runtime.report import RunReport
-from ..workload.transactions import (
-    TransactionWorkloadConfig,
-    TransactionWorkloadGenerator,
-)
-from .config import ExperimentConfig
+from .config import WORKLOAD_FIELDS, ExperimentConfig, build_database_workload
 
 def build_scheduler(
     name: str,
@@ -68,28 +64,34 @@ def build_scheduler(
 
 def build_workload(config: ExperimentConfig, seed: int):
     """Database + tasks for one repetition; returns (database, task set)."""
-    rng = random.Random(seed)
-    database = DistributedDatabase.build(
-        config=DatabaseConfig(
-            num_subdatabases=config.num_subdatabases,
-            records_per_subdb=config.records_per_subdb,
-            num_attributes=config.num_attributes,
-            domain_size=config.domain_size,
-        ),
-        num_processors=config.num_processors,
-        replication_rate=config.replication_rate,
-        rng=rng,
-    )
-    generator = TransactionWorkloadGenerator(
-        database=database,
-        config=TransactionWorkloadConfig(
-            num_transactions=config.num_transactions,
-            slack_factor=config.slack_factor,
-            key_probability=config.key_probability,
-            seed=seed,
-        ),
-    )
-    return database, generator.generate_tasks()
+    database, tasks, _ = build_database_workload(config, seed)
+    return database, tasks
+
+
+def workload_tasks(config: ExperimentConfig, seed: int) -> Tuple[Task, ...]:
+    """The task set of ``(config, seed)``, built once and shared.
+
+    Every scheduler, domain count and the oracle see the same workload for
+    one ``(config, seed)``, so they share one immutable tuple of frozen
+    :class:`~repro.core.task.Task` objects instead of rebuilding the
+    database each time.  Callers that need the mutable database (writes,
+    the live cluster) call :func:`build_database_workload` instead.
+    """
+    return _memo_tasks(workload_key(config), seed)
+
+
+def workload_key(config: ExperimentConfig) -> Tuple[object, ...]:
+    """The :data:`WORKLOAD_FIELDS` values of ``config``, in order."""
+    return tuple(getattr(config, name) for name in WORKLOAD_FIELDS)
+
+
+# One paper-scale task set is ~0.2 MB, so the bound caps the memo near
+# 26 MB; fig5 --quick needs 27 entries, the default shard-curve 12.
+@functools.lru_cache(maxsize=128)
+def _memo_tasks(key: Tuple[object, ...], seed: int) -> Tuple[Task, ...]:
+    config = ExperimentConfig(**dict(zip(WORKLOAD_FIELDS, key)))
+    _, tasks = build_workload(config, seed)
+    return tuple(tasks)
 
 
 def run_once(
@@ -122,7 +124,7 @@ def run_once(
     return report
 
 
-#: Backends whose workload :func:`build_workload` reconstructs exactly
+#: Backends whose workload :func:`workload_tasks` reconstructs exactly
 #: (the live cluster and the sharded runtime mirror the simulator's
 #: generator, same seed — partitioning never changes the task set).
 _ORACLE_BACKENDS = frozenset({"sim", "cluster", "sharded"})
@@ -133,17 +135,18 @@ def _regret_for(
 ) -> dict:
     """Oracle verdict + regret for one finished run.
 
-    The oracle rebuilds the run's workload offline — possible whenever
-    the backend derives its task set deterministically from ``(config,
-    seed)``.  Backends that mint tasks at request time (the streaming
-    service) get an explicit ``unknown`` placeholder instead, keeping the
-    exported schema identical everywhere.
+    The oracle reads the run's workload from :func:`workload_tasks` —
+    possible whenever the backend derives its task set deterministically
+    from ``(config, seed)``, and free after a ``sim`` or ``sharded`` run,
+    which already built it.  Backends that mint tasks at request time
+    (the streaming service) get an explicit ``unknown`` placeholder
+    instead, keeping the exported schema identical everywhere.
     """
     if report.backend not in _ORACLE_BACKENDS:
         return unknown_regret_section(
             report.total_tasks, report.num_workers
         )
-    _, tasks = build_workload(config, seed)
+    tasks = workload_tasks(config, seed)
     verdict = analyze_tasks(tasks, config.num_processors)
     return regret_section(verdict, report.deadline_hits)
 

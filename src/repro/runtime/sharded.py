@@ -1,6 +1,6 @@
 """The sharded backend: k scheduling domains on the virtual clock.
 
-Builds the same seeded workload as the ``sim`` backend, partitions the
+Takes the same seeded workload as the ``sim`` backend, partitions the
 worker set per ``config.domains`` / ``config.partition_policy``, gives
 every domain its own scheduler instance (independent search state — the
 whole point), and runs the
@@ -45,11 +45,11 @@ class ShardedBackend(ExecutionBackend):
         # import time.
         from ..core.affinity import UniformCommunicationModel
         from ..core.domains import partition_workers
-        from ..experiments.runner import build_scheduler, build_workload
+        from ..experiments.runner import build_scheduler, workload_tasks
         from ..sharding.sim import ShardedRuntime
 
         comm = UniformCommunicationModel(remote_cost=config.remote_cost)
-        _, tasks = build_workload(config, seed)
+        tasks = workload_tasks(config, seed)
         assignment = partition_workers(
             config.num_processors,
             config.domains,

@@ -1,8 +1,8 @@
 """The simulator backend: the virtual-clock discrete-event machine.
 
 This is the default backend and the paper's own evaluation vehicle.  It
-builds the seeded database/workload and the named scheduler exactly the
-way :mod:`repro.experiments.runner` always has, runs one
+takes the seeded task set from :func:`repro.experiments.runner.workload_tasks`
+(built once per ``(config, seed)``), builds the named scheduler, runs one
 :class:`~repro.simulator.runtime.DistributedRuntime`, and returns its
 :class:`~repro.runtime.report.RunReport`.
 """
@@ -32,7 +32,7 @@ class SimBackend(ExecutionBackend):
     ) -> RunReport:
         """Simulate one repetition on the virtual clock.
 
-        Builds the workload from ``seed``, runs the discrete-event loop,
+        Takes the workload of ``(config, seed)``, runs the discrete-event loop,
         and returns its :class:`RunReport`; every time in the report is
         virtual quanta except ``wall_seconds``, which is the simulation's
         real CPU time.  Pure and stateless, so one ``SimBackend`` may be
@@ -42,7 +42,7 @@ class SimBackend(ExecutionBackend):
         # import the backend registry, so the arrow must point one way at
         # import time.
         from ..core.affinity import UniformCommunicationModel
-        from ..experiments.runner import build_scheduler, build_workload
+        from ..experiments.runner import build_scheduler, workload_tasks
         from ..simulator.runtime import simulate
 
         if getattr(config, "domains", 1) > 1:
@@ -59,7 +59,7 @@ class SimBackend(ExecutionBackend):
             )
 
         comm = UniformCommunicationModel(remote_cost=config.remote_cost)
-        _, tasks = build_workload(config, seed)
+        tasks = workload_tasks(config, seed)
         scheduler = build_scheduler(
             scheduler_name, config, comm,
             evaluator=evaluator, quantum_policy=quantum_policy,

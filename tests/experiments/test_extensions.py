@@ -74,10 +74,10 @@ class TestWriteMix:
 
     def test_theorem_holds_with_writes(self):
         from repro.core import RTSADS, UniformCommunicationModel
-        from repro.experiments.extensions import _build_database_workload
+        from repro.experiments.config import build_database_workload
         from repro.simulator import simulate
 
-        _, tasks, txns = _build_database_workload(
+        _, tasks, txns = build_database_workload(
             TINY, TINY.base_seed, write_fraction=0.5
         )
         assert any(t.is_write for t in txns)
@@ -120,7 +120,7 @@ class TestFailureAccounting:
     @pytest.mark.parametrize("seed", [1, 7, 23, 101, 2024])
     def test_no_double_counting_across_seeds(self, seed):
         from repro.core import RTSADS, UniformCommunicationModel
-        from repro.experiments.extensions import _build_database_workload
+        from repro.experiments.config import build_database_workload
         from repro.simulator import (
             STATUS_COMPLETED,
             STATUS_EXPIRED,
@@ -128,7 +128,7 @@ class TestFailureAccounting:
             simulate,
         )
 
-        _, tasks, _ = _build_database_workload(TINY, seed)
+        _, tasks, _ = build_database_workload(TINY, seed)
         horizon = 10.0 * TINY.slack_factor * TINY.scan_cost
         comm = UniformCommunicationModel(TINY.remote_cost)
         result = simulate(
@@ -175,10 +175,10 @@ class TestFailureAccounting:
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_failed_tasks_only_come_from_crashed_processors(self, seed):
         from repro.core import RTSADS, UniformCommunicationModel
-        from repro.experiments.extensions import _build_database_workload
+        from repro.experiments.config import build_database_workload
         from repro.simulator import simulate
 
-        _, tasks, _ = _build_database_workload(TINY, seed)
+        _, tasks, _ = build_database_workload(TINY, seed)
         horizon = 10.0 * TINY.slack_factor * TINY.scan_cost
         comm = UniformCommunicationModel(TINY.remote_cost)
         result = simulate(
