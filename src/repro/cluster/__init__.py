@@ -27,7 +27,6 @@ from .master import (
     ClusterStartupError,
     ClusterTimeoutError,
     LiveTaskRecord,
-    remap_tasks,
 )
 from .network import ConnectionLost, MessageHub, NetworkEvent, WorkerChannel
 from .protocol import PROTOCOL_VERSION, FrameDecoder, ProtocolError
@@ -54,7 +53,6 @@ __all__ = [
     "build_cluster_workload",
     "launch_cluster",
     "reap_workers",
-    "remap_tasks",
     "spawn_worker",
     "worker_main",
 ]

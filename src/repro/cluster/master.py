@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.affinity import UniformCommunicationModel, project_tasks
+from ..core.affinity import AffinityProjection, UniformCommunicationModel
 from ..core.task import Task
 from ..experiments.runner import build_scheduler
 from ..metrics.compliance import STATUS_COMPLETED, STATUS_EXPIRED
@@ -120,21 +120,6 @@ class _WorkerState:
         return sum(d.planned_cost for d in self.outstanding.values())
 
 
-def remap_tasks(
-    tasks: Sequence[Task], alive: Sequence[int]
-) -> List[Task]:
-    """Project task affinities onto the alive-worker index space.
-
-    The search scheduler addresses processors ``0..m-1``; with dead workers
-    (or a domain owning only a slice of the fleet) the master schedules
-    over its own workers only, so affinities referring to real worker ids
-    are translated to positions in ``alive``.  Affinity to an absent
-    worker simply drops out (the data's surviving replicas keep their
-    entries; a fully-absent affinity set degrades to all-remote).
-    """
-    return project_tasks(tasks, alive)
-
-
 class ClusterMaster(PhaseHooks):
     """Accepts workers, runs the scheduling loop, collects completions."""
 
@@ -181,6 +166,9 @@ class ClusterMaster(PhaseHooks):
         # the alive-worker index space and the accumulating queue picture.
         self._phase_alive: List[int] = []
         self._phase_cumulative: List[float] = []
+        # Batch projection onto the alive-worker slots, memoized across
+        # phases; a new alive set starts a fresh memo.
+        self._projection = AffinityProjection(())
         self._t0: Optional[float] = None
         self._start_wall: Optional[float] = None
 
@@ -633,7 +621,15 @@ class ClusterMaster(PhaseHooks):
         return loads
 
     def transform_batch(self, tasks: List[Task], now: float) -> List[Task]:
-        return remap_tasks(tasks, self._phase_alive)
+        """Project affinities onto this phase's alive-worker slots.
+
+        The search addresses processors ``0..m-1``; with dead workers (or
+        a domain owning only a slice of the fleet) the master schedules
+        over its own alive workers only.  Affinity to an absent worker
+        drops out (a fully-absent affinity set degrades to all-remote).
+        """
+        self._projection = self._projection.for_workers(self._phase_alive)
+        return self._projection.project(tasks)
 
     def on_task_expired(self, task: Task, now: float) -> None:
         record = self.records[task.task_id]

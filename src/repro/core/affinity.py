@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .task import Task
 
@@ -153,16 +153,52 @@ def project_tasks(
     exactly the cluster master's alive-set remap and the sharded
     runtime's domain projection — both are the same renaming.
     """
-    positions = {worker: slot for slot, worker in enumerate(workers)}
-    projected = []
-    for task in tasks:
-        local = frozenset(
-            positions[w] for w in task.affinity if w in positions
-        )
-        projected.append(
-            task if local == task.affinity else replace(task, affinity=local)
-        )
-    return projected
+    return AffinityProjection(workers).project(tasks)
+
+
+class AffinityProjection:
+    """:func:`project_tasks` for one worker tuple, remembering the last batch.
+
+    A scheduling host projects its batch every phase, and most of
+    ``Batch(j)`` carries over into ``Batch(j+1)``; this keeps each task's
+    projected copy and serves it again while the *same* task object comes
+    back.  The memo is rebuilt from the previous one on every call, so it
+    holds exactly the last batch projected and never grows past it.
+    """
+
+    def __init__(self, workers: Sequence[int]) -> None:
+        self.workers = tuple(workers)
+        self._positions = {w: slot for slot, w in enumerate(self.workers)}
+        #: task_id -> (original task, projected task), last batch only.
+        self._memo: Dict[int, Tuple[Task, Task]] = {}
+
+    def for_workers(self, workers: Sequence[int]) -> "AffinityProjection":
+        """This projector if ``workers`` is unchanged, else a fresh one."""
+        workers = tuple(workers)
+        if workers == self.workers:
+            return self
+        return AffinityProjection(workers)
+
+    def project(self, tasks: Iterable[Task]) -> list[Task]:
+        """Same result as ``project_tasks(tasks, self.workers)``."""
+        positions = self._positions
+        previous = self._memo
+        memo: Dict[int, Tuple[Task, Task]] = {}
+        projected = []
+        for task in tasks:
+            hit = previous.get(task.task_id)
+            if hit is None or hit[0] is not task:
+                local = frozenset(
+                    positions[w] for w in task.affinity if w in positions
+                )
+                if local == task.affinity:
+                    hit = (task, task)
+                else:
+                    hit = (task, replace(task, affinity=local))
+            memo[task.task_id] = hit
+            projected.append(hit[1])
+        self._memo = memo
+        return projected
 
 
 def affinity_degree(tasks: Iterable[Task], num_processors: int) -> float:

@@ -21,7 +21,7 @@ import random
 from typing import List, Optional, Sequence
 
 from .affinity import CommunicationModel
-from .feasibility import projected_offsets
+from .feasibility import EPSILON, projected_offsets
 from .phase import MIN_PHASE_TIME, PhaseResult
 from .quantum import QuantumPolicy, SelfAdjustingQuantum
 from .registry import SchedulerContext, register_scheduler
@@ -37,7 +37,7 @@ from .scheduler import (
     useful_search_time,
 )
 from .search import SearchStats, VirtualTimeBudget
-from .task import Task
+from .task import Task, edf_key
 
 
 class _ListScheduler(Scheduler):
@@ -95,7 +95,7 @@ class _ListScheduler(Scheduler):
 
     def _task_order(self, batch: Sequence[Task]) -> List[Task]:
         """Order in which tasks are considered for assignment."""
-        return sorted(batch, key=lambda t: (t.deadline, t.task_id))
+        return sorted(batch, key=edf_key)
 
     def _pick_processor(
         self,
@@ -112,7 +112,7 @@ class _ListScheduler(Scheduler):
         for processor, offset in enumerate(offsets):
             comm_cost = self.comm.cost(task, processor)
             end = offset + task.processing_time + comm_cost
-            if bound + end > task.deadline + 1e-9:
+            if bound + end > task.deadline + EPSILON:
                 stats.feasibility_rejections += 1
                 continue
             if best is None or end < best[2]:
@@ -138,7 +138,7 @@ class _ListScheduler(Scheduler):
         viable = [
             t
             for t in self._task_order(batch)
-            if bound + t.processing_time <= t.deadline + 1e-9
+            if bound + t.processing_time <= t.deadline + EPSILON
         ]
         for task in viable:
             if budget.exhausted():
@@ -223,7 +223,7 @@ class RandomScheduler(_ListScheduler):
         for processor, offset in enumerate(offsets):
             comm_cost = self.comm.cost(task, processor)
             end = offset + task.processing_time + comm_cost
-            if bound + end <= task.deadline + 1e-9:
+            if bound + end <= task.deadline + EPSILON:
                 feasible.append((processor, comm_cost, end))
         if not feasible:
             return None
@@ -275,8 +275,8 @@ class MyopicScheduler(_ListScheduler):
         schedule = Schedule()
         remaining = [
             t
-            for t in sorted(batch, key=lambda t: (t.deadline, t.task_id))
-            if bound + t.processing_time <= t.deadline + 1e-9
+            for t in sorted(batch, key=edf_key)
+            if bound + t.processing_time <= t.deadline + EPSILON
         ]
         prefiltered = len(remaining)
         while remaining and not budget.exhausted():
@@ -289,7 +289,7 @@ class MyopicScheduler(_ListScheduler):
                 for processor, offset in enumerate(offsets):
                     comm_cost = self.comm.cost(task, processor)
                     end = offset + task.processing_time + comm_cost
-                    if bound + end > task.deadline + 1e-9:
+                    if bound + end > task.deadline + EPSILON:
                         stats.feasibility_rejections += 1
                         continue
                     start = end - task.processing_time - comm_cost

@@ -66,7 +66,10 @@ def min_slack(batch: Sequence[Task], now: float) -> float:
     """``Min_Slack``: smallest slack among batch tasks, floored at zero."""
     if not batch:
         return 0.0
-    return max(0.0, min(task.slack(now) for task in batch))
+    # Task.slack's expression, inlined: this scans the batch every phase.
+    return max(
+        0.0, min([t.deadline - now - t.processing_time for t in batch])
+    )
 
 
 def min_load(loads: Sequence[float]) -> float:

@@ -11,6 +11,7 @@ cost ``c_ij`` is derived from the affinity set by a communication model (see
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -99,6 +100,10 @@ class Task:
         return now + self.processing_time > self.deadline
 
 
+#: EDF sort key: ``(d_i, task_id)``, ties on the deadline broken by id.
+edf_key = operator.attrgetter("deadline", "task_id")
+
+
 class TaskSet:
     """An ordered collection of tasks with workload-level validation.
 
@@ -139,7 +144,7 @@ class TaskSet:
 
     def by_deadline(self) -> list[Task]:
         """Tasks sorted by absolute deadline (EDF order)."""
-        return sorted(self._tasks, key=lambda t: (t.deadline, t.task_id))
+        return sorted(self._tasks, key=edf_key)
 
     def ids(self) -> list[int]:
         """Task ids in insertion order."""

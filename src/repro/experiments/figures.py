@@ -30,6 +30,7 @@ from ..core.quantum import (
 )
 from ..core.representations import AssignmentOrientedExpander
 from ..core.search import PhaseContext, WallClockBudget, run_search
+from ..core.task import edf_key
 from ..core.cost import LoadBalancingEvaluator
 from ..metrics.reporting import (
     FigureData,
@@ -402,7 +403,7 @@ def _measure_wall_clock_vertex_cost(
     """Seconds per vertex when a real phase runs under a wall-clock budget."""
     tasks = workload_tasks(config, config.base_seed)
     comm = UniformCommunicationModel(config.remote_cost)
-    ordered = sorted(tasks, key=lambda t: (t.deadline, t.task_id))
+    ordered = sorted(tasks, key=edf_key)
     ctx = PhaseContext(
         tasks=ordered,
         num_processors=config.num_processors,

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.affinity import project_tasks
+from ..core.affinity import AffinityProjection
 from ..core.domains import DomainAssignment
 from ..core.scheduler import Scheduler
 from ..core.task import Task
@@ -79,6 +79,7 @@ class _DomainHost(PhaseHooks):
         self.domain_id = domain_id
         #: Global worker ids in slot order; the scheduler sees slots.
         self.workers = workers
+        self.projection = AffinityProjection(workers)
         self.scheduler = scheduler
         self.driver = PhaseDriver(scheduler=scheduler, hooks=self)
         self.worker_objs = [WorkerProcessor(w) for w in workers]
@@ -100,7 +101,7 @@ class _DomainHost(PhaseHooks):
         return [worker.load(now) for worker in self.worker_objs]
 
     def transform_batch(self, tasks: List[Task], now: float) -> List[Task]:
-        return project_tasks(tasks, self.workers)
+        return self.projection.project(tasks)
 
     def on_task_expired(self, task: Task, now: float) -> None:
         self.runtime.on_task_expired(self, task, now)
@@ -378,17 +379,23 @@ class ShardedRuntime:
             origin.driver.batch.tasks(), key=lambda t: t.task_id
         )
         woken: Set[int] = set()
+        # Neither the peer ranking nor the target's loads change inside
+        # the loop (withdraw touches the origin's batch, admit only the
+        # target's pending list): computed once, before the first offer.
+        target: Optional[_DomainHost] = None
+        target_loads: List[float] = []
         for stale in leftovers:
             task = self.trace.records[stale.task_id].task  # original affinity
             if task.task_id in self._migration_barred:
                 continue
             if task.is_expired(now):
                 continue
-            peers = sorted(
-                (d for d in self.domains if d is not origin),
-                key=lambda d: (d.total_load(now), d.domain_id),
-            )
-            target = peers[0]
+            if target is None:
+                target = min(
+                    (d for d in self.domains if d is not origin),
+                    key=lambda d: (d.total_load(now), d.domain_id),
+                )
+                target_loads = target.loads(now)
             self._migration_barred.add(task.task_id)
             self.stats.record_offer(origin.domain_id)
             if self.obs.enabled:
@@ -402,7 +409,7 @@ class ShardedRuntime:
             accepted = can_guarantee(
                 task,
                 now,
-                target.loads(now),
+                target_loads,
                 target.workers,
                 self.remote_cost,
             )
@@ -472,6 +479,11 @@ class ShardedRuntime:
                 "sharded simulation drained with tasks still unscheduled; "
                 "this indicates a stalled domain host loop"
             )
+        # Every batch is empty now.  Drop the last projected batches: a
+        # finished runtime is cyclic garbage and would keep them until the
+        # collector's next full pass.
+        for domain in self.domains:
+            domain.projection = AffinityProjection(domain.workers)
         self.trace.finished_at = self.engine.now
         trace = self.trace
         phases = sorted(

@@ -12,6 +12,7 @@ from repro.core import (
     make_task,
     random_affinity,
 )
+from repro.core.affinity import AffinityProjection, project_tasks
 
 
 def _task(affinity, p=10.0):
@@ -120,3 +121,66 @@ class TestAffinityDegree:
         tasks = [_task([0, 1]), _task([2])]
         # (2 + 1) / (2 tasks * 4 processors)
         assert affinity_degree(tasks, 4) == pytest.approx(3 / 8)
+
+
+class TestAffinityProjection:
+    """The per-host memoizing form of ``project_tasks``."""
+
+    @staticmethod
+    def _batch(rng, ids, workers=range(8)):
+        return [
+            make_task(
+                i,
+                10.0,
+                500.0,
+                affinity=rng.sample(list(workers), rng.randint(0, 4)),
+            )
+            for i in ids
+        ]
+
+    def test_every_result_equals_project_tasks(self):
+        rng = random.Random(1998)
+        workers = (6, 1, 3, 4)
+        projection = AffinityProjection(workers)
+        batch = self._batch(rng, range(20))
+        for _ in range(10):
+            # Batch(j+1): some tasks leave, some arrive, most carry over.
+            kept = [t for t in batch if rng.random() < 0.7]
+            start = max(t.task_id for t in batch) + 1
+            batch = kept + self._batch(rng, range(start, start + 5))
+            rng.shuffle(batch)
+            assert projection.project(batch) == project_tasks(batch, workers)
+
+    def test_carried_over_task_is_served_from_the_memo(self):
+        task = make_task(0, 10.0, 500.0, affinity=[3])
+        projection = AffinityProjection((2, 3))
+        (first,) = projection.project([task])
+        (second,) = projection.project([task])
+        assert first.affinity == frozenset({1})
+        assert second is first
+
+    def test_changed_worker_tuple_reprojects(self):
+        tasks = self._batch(random.Random(7), range(12))
+        projection = AffinityProjection((0, 1, 2, 3))
+        projection.project(tasks)
+        assert projection.for_workers([0, 1, 2, 3]) is projection
+        survivors = projection.for_workers([0, 2, 3])
+        assert survivors is not projection
+        assert survivors._memo == {}
+        assert survivors.project(tasks) == project_tasks(tasks, (0, 2, 3))
+
+    def test_new_task_object_with_reused_id_is_not_served_stale(self):
+        projection = AffinityProjection((4, 5))
+        (old,) = projection.project([make_task(9, 10.0, 500.0, affinity=[4])])
+        reused = make_task(9, 10.0, 500.0, affinity=[5])
+        (new,) = projection.project([reused])
+        assert old.affinity == frozenset({0})
+        assert new.affinity == frozenset({1})
+
+    def test_memo_never_exceeds_the_last_batch(self):
+        rng = random.Random(3)
+        projection = AffinityProjection((0, 2, 4, 6))
+        for size in (30, 5, 0, 12, 1):
+            batch = self._batch(rng, rng.sample(range(100), size))
+            projection.project(batch)
+            assert len(projection._memo) == size

@@ -1,8 +1,11 @@
 """Tests for the batch lifecycle (paper Section 4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Batch, make_task
+from repro.core.task import edf_key
 
 
 def _task(task_id, p=10.0, d=100.0):
@@ -104,3 +107,71 @@ class TestBatchWithdraw:
         assert 0 not in batch
         batch.add_arrivals([_task(0)])
         assert 0 in batch
+
+
+# ----- EDF order kept across interleaved admissions and removals ----------
+
+_DEADLINES = (50.0, 80.0, 80.0, 120.0, 200.0)  # repeats force id tie-breaks
+
+_steps = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.lists(st.integers(0, 11), max_size=4),
+        st.sampled_from(_DEADLINES),
+    ),
+    st.tuples(st.just("schedule"), st.lists(st.integers(0, 11), max_size=4)),
+    st.tuples(st.just("withdraw"), st.lists(st.integers(0, 11), max_size=4)),
+    st.tuples(st.just("expire"), st.floats(0.0, 190.0)),
+    # Leave and come straight back (surrender after a crash, declined
+    # delivery): the same object, or a fresh copy with a new deadline.
+    st.tuples(
+        st.just("readmit"),
+        st.integers(0, 11),
+        st.sampled_from((None,) + _DEADLINES),
+    ),
+)
+
+
+class TestBatchEdfOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_steps, max_size=30))
+    def test_order_matches_a_fresh_sort_after_every_step(self, steps):
+        batch = Batch()
+        model = {}  # task_id -> Task, in admission order
+        for step in steps:
+            kind = step[0]
+            if kind == "add":
+                fresh = [
+                    _task(i, d=step[2])
+                    for i in dict.fromkeys(step[1])
+                    if i not in model
+                ]
+                batch.add_arrivals(fresh)
+                model.update((t.task_id, t) for t in fresh)
+            elif kind == "schedule":
+                present = [i for i in dict.fromkeys(step[1]) if i in model]
+                batch.remove_scheduled(present)
+                for i in present:
+                    del model[i]
+            elif kind == "withdraw":
+                batch.withdraw(step[1])
+                for i in step[1]:
+                    model.pop(i, None)
+            elif kind == "expire":
+                for task in batch.drop_expired(step[1]):
+                    del model[task.task_id]
+            else:
+                task_id, deadline = step[1], step[2]
+                if task_id not in model:
+                    continue
+                task = model.pop(task_id)
+                batch.withdraw([task_id])
+                if deadline is not None:
+                    task = _task(task_id, d=deadline)
+                batch.add_arrivals([task])
+                model[task_id] = task
+            order = batch.edf_order()
+            assert order == sorted(batch.tasks(), key=edf_key)
+            assert len({t.task_id for t in order}) == len(order)
+            assert len(batch) == len(order) == len(model)
+            assert batch.tasks() == list(model.values())

@@ -98,3 +98,28 @@ class TestDeterminism:
         # configs; assert the knob reaches the run rather than equality.
         assert hashed.extras["assignment"]["policy"] == "hash"
         assert packed.extras["assignment"]["policy"] == "worst-fit"
+
+
+class TestMigrationLedgerPinned:
+    def test_shard_curve_cell_migration_stats(self):
+        """One default shard-curve cell (m=16, k=4, seed 1998), pinned.
+
+        The peer ranking and target loads are computed once per delivery;
+        every offer, accept, decline and per-domain flow must stay what
+        re-ranking before each offer produced.
+        """
+        config = (
+            ExperimentConfig.quick(num_transactions=500, per_vertex_cost=0.1)
+            .with_processors(16)
+            .with_domains(4)
+        )
+        report = run_once(config, "rtsads", 1998)
+        assert report.deadline_hits == 224
+        assert report.migration == {
+            "offers": 304,
+            "accepted": 211,
+            "declined": 93,
+            "timeouts": 0,
+            "out_by_domain": {"0": 147, "1": 31, "2": 121, "3": 5},
+            "in_by_domain": {"0": 117, "2": 94},
+        }
